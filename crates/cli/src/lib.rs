@@ -64,11 +64,12 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use exi_netlist::NetlistError;
+use exi_serve::json::{self, obj, Json};
 use exi_sim::{Method, SimError};
 
 pub use run::{analysis_options, effective_probes, run_deck, tran_options, RunConfig, RunSummary};
 pub use service::{
-    fetch_stats, run_client, run_serve, shutdown_server, write_stats, ClientCommand, ClientConfig,
+    fetch_stats, run_client, shutdown_server, write_stats, ClientCommand, ClientConfig,
 };
 pub use sweep::{
     build_sweep_plan, expand_param_grid, member_label, members_from_template, run_sweep,
@@ -133,21 +134,15 @@ impl CliError {
         }
     }
 
-    /// Machine-readable failure class, used by `--error-format json`.
+    /// Machine-readable failure class, used by `--error-format json` — one
+    /// class per exit code.
     pub fn class(&self) -> &'static str {
-        match self {
-            CliError::Usage(_) => "usage",
-            CliError::Netlist(_) => "parse",
-            CliError::Sim(_) => "convergence",
-            CliError::Io(_) => "io",
-            CliError::Deck(_) => "internal",
-            CliError::Remote { class, .. } => match class.as_str() {
-                "usage" => "usage",
-                "parse" => "parse",
-                "convergence" => "convergence",
-                "io" => "io",
-                _ => "internal",
-            },
+        match self.exit_code() {
+            2 => "usage",
+            3 => "parse",
+            4 => "convergence",
+            5 => "io",
+            _ => "internal",
         }
     }
 }
@@ -191,34 +186,20 @@ impl ErrorFormat {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders `error` for stderr in the requested format. The JSON form is a
 /// single line so scripts can parse it with one `json.loads`.
 pub fn render_error(error: &CliError, format: ErrorFormat) -> String {
     match format {
         ErrorFormat::Text => format!("exi-cli: {error}"),
-        ErrorFormat::Json => format!(
-            "{{\"error\":{{\"class\":\"{}\",\"message\":\"{}\",\"exit_code\":{}}}}}",
-            error.class(),
-            json_escape(&error.to_string()),
-            error.exit_code(),
-        ),
+        ErrorFormat::Json => obj(vec![(
+            "error",
+            obj(vec![
+                ("class", json::s(error.class())),
+                ("message", json::s(error.to_string())),
+                ("exit_code", Json::Num(f64::from(error.exit_code()))),
+            ]),
+        )])
+        .dump(),
     }
 }
 
@@ -278,21 +259,19 @@ impl OutputFormat {
     }
 }
 
-/// Parses a `--method` value: `er`, `erc`/`er-c`, `be`/`benr`, `tr`/`trnr`.
+/// Parses a `--method` value with the wire aliases of
+/// [`exi_serve::parse_method`]: `er`, `erc`/`er-c`, `be`/`benr`, `tr`/`trnr`.
 ///
 /// # Errors
 ///
 /// [`CliError::Usage`] for an unknown method name.
 pub fn parse_method(s: &str) -> CliResult<Method> {
-    match s.to_ascii_lowercase().as_str() {
-        "er" => Ok(Method::ExponentialRosenbrock),
-        "erc" | "er-c" => Ok(Method::ExponentialRosenbrockCorrected),
-        "be" | "benr" => Ok(Method::BackwardEuler),
-        "tr" | "trnr" | "trap" => Ok(Method::Trapezoidal),
-        other => Err(CliError::Usage(format!(
-            "unknown method '{other}' (expected er, erc, be or tr)"
-        ))),
-    }
+    exi_serve::parse_method(s).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown method '{}' (expected er, erc, be or tr)",
+            s.to_ascii_lowercase()
+        ))
+    })
 }
 
 /// The usage text printed on `--help` and usage errors.
@@ -330,26 +309,8 @@ sweep OPTIONS:
                               off); waveforms are byte-identical at every
                               setting — lanes only change throughput
 
-serve OPTIONS (the resident daemon; see docs/SERVICE.md):
-    --addr <HOST:PORT>        listen address (default 127.0.0.1:0; the bound
-                              address is printed on stdout at startup)
-    --workers <N>             worker threads draining the job queue
-    --queue <N>               job-queue capacity (full queue replies `busy`)
-    --symbolic-cache <N>      warm symbolic-cache capacity; 0 = unbounded
-    --plan-cache <N>          warm plan-cache capacity; 0 = unbounded
-    --max-unknowns <N>        per-job unknown-count admission budget
-    --max-est-nnz <N>         per-job estimated-nonzeros admission budget
-    --max-declared-steps <N>  per-job declared .tran step admission budget
-    --max-inflight-unknowns <N>
-                              server-wide active-unknowns budget; 0 = off
-    --default-deadline-ms <N> deadline for jobs that declare none; 0 = off
-    --read-timeout-ms <N>     reap a connection whose frame stalls; 0 = off
-    --idle-timeout-ms <N>     reap a connection idle between frames; 0 = off
-    --write-stall-ms <N>      abandon writes blocked on a stalled client
-    --respawn-limit <N>       worker respawns per window before degraded mode
-    --shed-after-ms <N>       queue-full time before the overload ladder
-                              sheds new decks (see 'Overload ladder' in
-                              docs/SERVICE.md)
+serve OPTIONS (the resident daemon; the same flags as exi-serve):
+    see `exi-cli serve --help`
 
 client OPTIONS (submit a deck to a running daemon):
     --addr <HOST:PORT>        daemon address (default 127.0.0.1:7878)
@@ -403,6 +364,8 @@ pub enum Command {
         /// Daemon settings.
         config: exi_serve::ServeConfig,
     },
+    /// `exi-cli serve --help`.
+    ServeHelp,
     /// `exi-cli client`: drive one deck through a running daemon.
     Client(ClientCommand),
     /// `exi-cli --help`.
@@ -425,7 +388,7 @@ pub fn parse_args(args: &[String]) -> CliResult<Command> {
         "-h" | "--help" | "help" => Ok(Command::Help),
         "run" => parse_run_args(&mut it),
         "sweep" => parse_sweep_args(&mut it),
-        "serve" => parse_serve_args(&mut it),
+        "serve" => serve_command(it.as_slice()),
         "client" => parse_client_args(&mut it),
         other => Err(CliError::Usage(format!(
             "unknown subcommand '{other}' (expected run, sweep, serve or client)"
@@ -581,111 +544,26 @@ fn parse_positive(value: &str, flag: &str) -> CliResult<usize> {
     Ok(n)
 }
 
-fn parse_nonnegative(value: &str, flag: &str) -> CliResult<usize> {
-    value
-        .parse()
-        .map_err(|_| CliError::Usage(format!("{flag}: bad count '{value}'")))
-}
-
 fn parse_millis(value: &str, flag: &str) -> CliResult<u64> {
     value
         .parse()
         .map_err(|_| CliError::Usage(format!("{flag}: bad millisecond count '{value}'")))
 }
 
-fn parse_serve_args(it: &mut std::slice::Iter<'_, String>) -> CliResult<Command> {
-    let mut config = exi_serve::ServeConfig::default();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => config.addr = next_value(it, "--addr")?.clone(),
-            "--workers" => {
-                config.workers = parse_positive(next_value(it, "--workers")?, "--workers")?
-            }
-            "--queue" => {
-                config.queue_capacity = parse_positive(next_value(it, "--queue")?, "--queue")?
-            }
-            "--chunk-rows" => {
-                config.default_chunk_rows =
-                    parse_positive(next_value(it, "--chunk-rows")?, "--chunk-rows")?
-            }
-            "--symbolic-cache" => {
-                let v = next_value(it, "--symbolic-cache")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--symbolic-cache: bad count '{v}'")))?;
-                config.symbolic_cache_capacity = (n > 0).then_some(n);
-            }
-            "--plan-cache" => {
-                let v = next_value(it, "--plan-cache")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--plan-cache: bad count '{v}'")))?;
-                config.plan_cache_capacity = (n > 0).then_some(n);
-            }
-            "--max-unknowns" => {
-                config.budget.max_unknowns =
-                    parse_positive(next_value(it, "--max-unknowns")?, "--max-unknowns")?
-            }
-            "--max-est-nnz" => {
-                config.budget.max_est_nnz =
-                    parse_positive(next_value(it, "--max-est-nnz")?, "--max-est-nnz")?
-            }
-            "--max-declared-steps" => {
-                config.budget.max_declared_steps = parse_positive(
-                    next_value(it, "--max-declared-steps")?,
-                    "--max-declared-steps",
-                )?
-            }
-            "--max-inflight-unknowns" => {
-                config.max_inflight_unknowns = parse_nonnegative(
-                    next_value(it, "--max-inflight-unknowns")?,
-                    "--max-inflight-unknowns",
-                )?
-            }
-            "--default-deadline-ms" => {
-                config.default_deadline_ms = parse_millis(
-                    next_value(it, "--default-deadline-ms")?,
-                    "--default-deadline-ms",
-                )?
-            }
-            "--read-timeout-ms" => {
-                config.read_timeout_ms =
-                    parse_millis(next_value(it, "--read-timeout-ms")?, "--read-timeout-ms")?
-            }
-            "--idle-timeout-ms" => {
-                config.idle_timeout_ms =
-                    parse_millis(next_value(it, "--idle-timeout-ms")?, "--idle-timeout-ms")?
-            }
-            "--write-stall-ms" => {
-                config.write_stall_ms =
-                    parse_millis(next_value(it, "--write-stall-ms")?, "--write-stall-ms")?
-            }
-            "--respawn-limit" => {
-                config.respawn_limit =
-                    parse_positive(next_value(it, "--respawn-limit")?, "--respawn-limit")?
-            }
-            "--shed-after-ms" => {
-                let shed =
-                    parse_millis(next_value(it, "--shed-after-ms")?, "--shed-after-ms")?.max(1);
-                // Keep the ladder ordered when only the first rung is tuned.
-                config.overload.shed_after_ms = shed;
-                config.overload.cancel_after_ms = config.overload.cancel_after_ms.max(shed);
-                config.overload.drain_after_ms = config
-                    .overload
-                    .drain_after_ms
-                    .max(config.overload.cancel_after_ms);
-            }
-            "--error-format" => {
-                ErrorFormat::parse(next_value(it, "--error-format")?)?;
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown option '{other}' for serve"
-                )))
-            }
-        }
+/// `exi-cli serve`: the daemon's flags are `exi-serve`'s own table; only
+/// `--error-format` belongs to the CLI.
+fn serve_command(args: &[String]) -> CliResult<Command> {
+    let mut error_format = |flag: &str, value: &str| match flag {
+        "--error-format" => ErrorFormat::parse(value)
+            .map(|_| true)
+            .map_err(|e| e.to_string()),
+        _ => Ok(false),
+    };
+    match exi_serve::ServeConfig::from_args(args, &mut error_format) {
+        Ok(Some(config)) => Ok(Command::Serve { config }),
+        Ok(None) => Ok(Command::ServeHelp),
+        Err(message) => Err(CliError::Usage(format!("serve: {message}"))),
     }
-    Ok(Command::Serve { config })
 }
 
 fn parse_client_args(it: &mut std::slice::Iter<'_, String>) -> CliResult<Command> {
@@ -779,7 +657,7 @@ pub fn execute(command: &Command, status: &mut dyn Write) -> CliResult<()> {
             output,
         } => {
             let parsed = exi_netlist::parse_deck_file(deck)?;
-            let summary = match output {
+            match output {
                 Some(path) => {
                     let mut file = std::io::BufWriter::new(File::create(path)?);
                     let summary = run_deck(&parsed, config, &mut file)?;
@@ -794,11 +672,11 @@ pub fn execute(command: &Command, status: &mut dyn Write) -> CliResult<()> {
                         summary.stats.accepted_steps,
                         summary.stats.symbolic_analyses,
                     )?;
-                    summary
                 }
-                None => run_deck(&parsed, config, status)?,
-            };
-            let _ = summary;
+                None => {
+                    run_deck(&parsed, config, status)?;
+                }
+            }
             Ok(())
         }
         Command::Sweep {
@@ -844,7 +722,20 @@ pub fn execute(command: &Command, status: &mut dyn Write) -> CliResult<()> {
             }
             Ok(())
         }
-        Command::Serve { config } => run_serve(config.clone(), status),
+        Command::Serve { config } => {
+            exi_serve::serve(config.clone(), status)?;
+            Ok(())
+        }
+        Command::ServeHelp => {
+            write!(
+                status,
+                "exi-cli serve — run the resident exi-serve daemon until a client sends \
+                 `shutdown`\n\nUSAGE:\n    exi-cli serve [OPTIONS]\n\n\
+                 OPTIONS (the same as exi-serve; see docs/SERVICE.md):\n{}",
+                exi_serve::ServeConfig::flag_help()
+            )?;
+            Ok(())
+        }
         Command::Client(client) => {
             if let Some(deck) = &client.deck {
                 match &client.output {
@@ -1240,6 +1131,89 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Every flag of the shared table sets the same [`exi_serve::ServeConfig`]
+    /// value through `exi-serve`'s parse and `exi-cli serve`'s, and together
+    /// they reach 22 distinct settable values.
+    #[test]
+    fn every_serve_flag_parses_the_same_in_both_front_ends() {
+        use exi_serve::{ServeConfig, SERVE_FLAGS};
+        let pairs = [
+            ("--addr", "127.0.0.1:9100"),
+            ("--workers", "3"),
+            ("--queue", "5"),
+            ("--chunk-rows", "7"),
+            ("--max-frame-bytes", "4096"),
+            ("--max-deck-bytes", "2048"),
+            ("--symbolic-cache", "0"),
+            ("--plan-cache", "9"),
+            ("--max-unknowns", "11"),
+            ("--max-est-nnz", "13"),
+            ("--max-declared-steps", "17"),
+            ("--max-inflight-unknowns", "0"),
+            ("--default-deadline-ms", "19"),
+            ("--read-timeout-ms", "23"),
+            ("--idle-timeout-ms", "0"),
+            ("--write-stall-ms", "29"),
+            ("--respawn-limit", "31"),
+            ("--respawn-window-ms", "37"),
+            ("--shed-after-ms", "31000"),
+            ("--cancel-after-ms", "61000"),
+            ("--drain-after-ms", "121000"),
+            ("--soft-deadline-ms", "41"),
+        ];
+        let names: Vec<&str> = SERVE_FLAGS.iter().map(|flag| flag.name).collect();
+        assert_eq!(names, pairs.map(|(name, _)| name), "one pair per table row");
+        // `exi-serve`'s main adds only `--arm-fault` to this call.
+        let exi_serve = |args: &[&str]| ServeConfig::from_args(&s(args), &mut |_, _| Ok(false));
+        let exi_cli_serve = |args: &[&str]| {
+            let mut argv = vec!["serve"];
+            argv.extend_from_slice(args);
+            match parse_args(&s(&argv)) {
+                Ok(Command::Serve { config }) => Ok(config),
+                Err(CliError::Usage(message)) => Err(message),
+                other => panic!("{args:?}: unexpected {other:?}"),
+            }
+        };
+        let argv = |skip: Option<usize>| -> Vec<&str> {
+            let kept = pairs.iter().enumerate().filter(|(i, _)| Some(*i) != skip);
+            kept.flat_map(|(_, (name, value))| [*name, *value])
+                .collect()
+        };
+        let all = exi_serve(&argv(None)).unwrap().unwrap();
+        assert_eq!(exi_cli_serve(&argv(None)), Ok(all.clone()));
+        for (i, (name, value)) in pairs.into_iter().enumerate() {
+            let alone = exi_serve(&[name, value]).unwrap().unwrap();
+            assert_ne!(alone, ServeConfig::default(), "{name} {value}");
+            assert_eq!(exi_cli_serve(&[name, value]), Ok(alone), "{name} {value}");
+            // Dropping any one flag changes the result: each of the 22 sets a
+            // value no other flag touches.
+            assert_ne!(exi_serve(&argv(Some(i))).unwrap().unwrap(), all, "{name}");
+        }
+        // Below-minimum values are usage errors in both, never clamped.
+        for flag in SERVE_FLAGS.iter().filter(|flag| flag.min > 0) {
+            let below = (flag.min - 1).to_string();
+            assert!(exi_serve(&[flag.name, &below]).is_err(), "{}", flag.name);
+            assert!(
+                exi_cli_serve(&[flag.name, &below]).is_err(),
+                "{}",
+                flag.name
+            );
+        }
+        // A shed threshold past the default cancel threshold is refused, not
+        // silently raised.
+        assert!(exi_serve(&["--shed-after-ms", "70000"]).is_err());
+        assert!(exi_cli_serve(&["--shed-after-ms", "70000"]).is_err());
+        // `exi-cli serve --help` prints the table.
+        assert_eq!(
+            parse_args(&s(&["serve", "--help"])).unwrap(),
+            Command::ServeHelp
+        );
+        let mut help = Vec::new();
+        execute(&Command::ServeHelp, &mut help).unwrap();
+        let help = String::from_utf8(help).unwrap();
+        assert!(help.contains(&ServeConfig::flag_help()), "{help}");
     }
 
     /// Retry exhaustion against an address nothing listens on is a

@@ -1,5 +1,6 @@
-//! The `serve` and `client` subcommands: run a resident `exi-serve` daemon,
-//! or drive a deck through one and stream the waveform back.
+//! The `client` subcommand: drive a deck through a resident `exi-serve`
+//! daemon and stream the waveform back (`serve` itself is
+//! [`exi_serve::serve`]).
 //!
 //! The client path is byte-compatible with `exi-cli run`: waveform values
 //! arrive as preformatted 17-significant-digit strings and are written
@@ -10,7 +11,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use exi_serve::{Client, ClientError, RunEnd, RunRequest, ServeConfig, Server, ServerStats};
+use exi_serve::stats::COUNTERS;
+use exi_serve::{Client, ClientError, RunEnd, RunRequest, ServerStats};
 
 use crate::{CliError, CliResult, OutputFormat};
 
@@ -59,11 +61,15 @@ impl Default for ClientConfig {
     }
 }
 
-/// Maps a daemon-reported failure class onto [`CliError::Remote`] so the
-/// process exit code matches what a local `run` of the same deck would
-/// produce.
-fn remote_error(class: String, message: String) -> CliError {
-    CliError::Remote { class, message }
+/// A transport failure stays an i/o error (exit code 5); anything else the
+/// client reports is a protocol-level failure.
+impl From<ClientError> for CliError {
+    fn from(e: ClientError) -> Self {
+        match e {
+            ClientError::Io(e) => CliError::Io(e),
+            other => CliError::Deck(other.to_string()),
+        }
+    }
 }
 
 /// One connect-and-submit attempt (the unit [`run_client`]'s retry loop
@@ -89,10 +95,7 @@ fn attempt_run(
             waveform,
             config.format.delimiter(),
         )
-        .map_err(|e| match e {
-            ClientError::Io(e) => CliError::Io(e),
-            other => CliError::Deck(other.to_string()),
-        })
+        .map_err(CliError::from)
 }
 
 /// The deterministic backoff before retry attempt `attempt` (0-based):
@@ -151,11 +154,12 @@ pub fn run_client(
             reason,
             at_time,
             rows,
-        } => Err(remote_error(
-            "convergence".to_string(),
-            format!("job cancelled ({reason}) at t={at_time} after {rows} rows"),
-        )),
-        RunEnd::Failed { class, message } => Err(remote_error(class, message)),
+        } => Err(CliError::Remote {
+            class: "convergence".to_string(),
+            message: format!("job cancelled ({reason}) at t={at_time} after {rows} rows"),
+        }),
+        // The daemon's failure class, so the exit code matches a local run.
+        RunEnd::Failed { class, message } => Err(CliError::Remote { class, message }),
         RunEnd::Busy => Err(CliError::Deck(if config.retries > 0 {
             format!(
                 "server busy: job queue is full ({} attempts exhausted)",
@@ -181,10 +185,7 @@ pub fn run_client(
 /// protocol violations.
 pub fn fetch_stats(addr: &str) -> CliResult<ServerStats> {
     let mut client = Client::connect(addr)?;
-    client.stats().map_err(|e| match e {
-        ClientError::Io(e) => CliError::Io(e),
-        other => CliError::Deck(other.to_string()),
-    })
+    Ok(client.stats()?)
 }
 
 /// Renders a [`ServerStats`] snapshot as stable `key: value` lines (the
@@ -194,59 +195,9 @@ pub fn fetch_stats(addr: &str) -> CliResult<ServerStats> {
 ///
 /// Propagates write failures on `out`.
 pub fn write_stats(stats: &ServerStats, out: &mut dyn Write) -> CliResult<()> {
-    writeln!(out, "jobs_accepted: {}", stats.jobs_accepted)?;
-    writeln!(out, "jobs_completed: {}", stats.jobs_completed)?;
-    writeln!(out, "jobs_failed: {}", stats.jobs_failed)?;
-    writeln!(out, "jobs_cancelled: {}", stats.jobs_cancelled)?;
-    writeln!(out, "jobs_rejected: {}", stats.jobs_rejected)?;
-    writeln!(out, "jobs_rejected_budget: {}", stats.jobs_rejected_budget)?;
-    writeln!(out, "jobs_shed_overload: {}", stats.jobs_shed_overload)?;
-    writeln!(
-        out,
-        "jobs_cancelled_overload: {}",
-        stats.jobs_cancelled_overload
-    )?;
-    writeln!(out, "workers_respawned: {}", stats.workers_respawned)?;
-    writeln!(out, "connections_reaped: {}", stats.connections_reaped)?;
-    writeln!(out, "write_stalls: {}", stats.write_stalls)?;
-    writeln!(out, "overload_transitions: {}", stats.overload_transitions)?;
-    writeln!(out, "overload_stage: {}", stats.overload_stage)?;
-    writeln!(out, "queue_depth: {}", stats.queue_depth)?;
-    writeln!(out, "queue_capacity: {}", stats.queue_capacity)?;
-    writeln!(out, "workers: {}", stats.workers)?;
-    writeln!(out, "accepted_steps: {}", stats.accepted_steps)?;
-    writeln!(out, "symbolic_analyses: {}", stats.symbolic_analyses)?;
-    writeln!(out, "shared_symbolic_hits: {}", stats.shared_symbolic_hits)?;
-    writeln!(out, "plan_compilations: {}", stats.plan_compilations)?;
-    writeln!(out, "shared_plan_hits: {}", stats.shared_plan_hits)?;
-    Ok(())
-}
-
-/// Boots an `exi-serve` daemon in-process and blocks until a client sends a
-/// `shutdown` request. Announces the bound address on `status` first (the
-/// line scripts and CI wait for).
-///
-/// # Errors
-///
-/// [`CliError::Io`] for bind failures.
-pub fn run_serve(config: ServeConfig, status: &mut dyn Write) -> CliResult<()> {
-    let server = Server::bind(config)?;
-    writeln!(status, "exi-serve listening on {}", server.local_addr()?)?;
-    status.flush()?;
-    let stats = server.run();
-    writeln!(
-        status,
-        "exi-serve: drained and stopped — {} completed, {} failed, {} cancelled, {} rejected; \
-         {} symbolic analyses + {} warm hits, {} plan compilations + {} warm hits",
-        stats.jobs_completed,
-        stats.jobs_failed,
-        stats.jobs_cancelled,
-        stats.jobs_rejected,
-        stats.symbolic_analyses,
-        stats.shared_symbolic_hits,
-        stats.plan_compilations,
-        stats.shared_plan_hits,
-    )?;
+    for (name, get, _) in &COUNTERS {
+        writeln!(out, "{name}: {}", get(stats))?;
+    }
     Ok(())
 }
 
@@ -259,10 +210,7 @@ pub fn run_serve(config: ServeConfig, status: &mut dyn Write) -> CliResult<()> {
 /// protocol violations.
 pub fn shutdown_server(addr: &str) -> CliResult<()> {
     let mut client = Client::connect(addr)?;
-    client.shutdown().map_err(|e| match e {
-        ClientError::Io(e) => CliError::Io(e),
-        other => CliError::Deck(other.to_string()),
-    })
+    Ok(client.shutdown()?)
 }
 
 /// Parsed `exi-cli client` command.

@@ -25,8 +25,8 @@
 //! session, so they also survive across runs.
 //!
 //! The engine is exposed as the incremental [`ErStepper`] (one accepted step
-//! per [`Engine::advance`] call); [`run_exponential_rosenbrock`] remains as a
-//! deprecated one-shot wrapper.
+//! per [`Engine::advance`] call); one-shot runs go through
+//! [`crate::Simulator::transient`].
 //!
 //! All `C⁻¹` factors that appear in the paper's formulas cancel analytically
 //! against the φ denominators, so a singular capacitance matrix needs no
@@ -50,7 +50,6 @@ use crate::engines::{clamp_step, prepare, reached_end, refresh_lu, Engine, StepO
 use crate::error::{SimError, SimResult};
 use crate::observer::Observer;
 use crate::options::TransientOptions;
-use crate::output::TransientResult;
 use crate::session::SessionCaches;
 use crate::stats::RunStats;
 
@@ -474,37 +473,6 @@ impl ErStepper<'_> {
     }
 }
 
-/// Runs an exponential Rosenbrock–Euler transient analysis.
-///
-/// With `correction = false` this is the plain **ER** method (paper Eq. 14);
-/// with `correction = true` it is **ER-C** (Eq. 17/25), which reuses the
-/// error-estimator subspace to add a φ₂ correction term.
-///
-/// # Errors
-///
-/// * [`SimError::StepSizeUnderflow`] if the nonlinear error cannot be brought
-///   below the budget even at `h_min`.
-/// * [`SimError::Sparse`] / [`SimError::Krylov`] / [`SimError::Netlist`] for
-///   kernel failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "create a `Simulator` and call `transient(Method::ExponentialRosenbrock[Corrected], …)` \
-            — a session reuses LU caches and workspaces across runs"
-)]
-pub fn run_exponential_rosenbrock(
-    circuit: &Circuit,
-    correction: bool,
-    options: &TransientOptions,
-    probe_names: &[&str],
-) -> SimResult<TransientResult> {
-    let method = if correction {
-        crate::Method::ExponentialRosenbrockCorrected
-    } else {
-        crate::Method::ExponentialRosenbrock
-    };
-    crate::Simulator::new(circuit).transient(method, options, probe_names)
-}
-
 /// Builds an invert-Krylov subspace for vector `v`, or `None` when the vector
 /// is (numerically) zero and its contribution vanishes.
 #[allow(clippy::too_many_arguments)]
@@ -547,7 +515,7 @@ fn build_subspace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::implicit::ImplicitScheme;
+    use crate::output::TransientResult;
     use crate::session::Simulator;
     use crate::transient::Method;
     use exi_netlist::{generators, Waveform};
@@ -562,19 +530,6 @@ mod tests {
             Method::ExponentialRosenbrockCorrected
         } else {
             Method::ExponentialRosenbrock
-        };
-        Simulator::new(ckt).transient(method, options, probes)
-    }
-
-    fn run_implicit(
-        ckt: &Circuit,
-        scheme: ImplicitScheme,
-        options: &TransientOptions,
-        probes: &[&str],
-    ) -> SimResult<TransientResult> {
-        let method = match scheme {
-            ImplicitScheme::BackwardEuler => Method::BackwardEuler,
-            ImplicitScheme::Trapezoidal => Method::Trapezoidal,
         };
         Simulator::new(ckt).transient(method, options, probes)
     }
@@ -680,7 +635,9 @@ mod tests {
             ..TransientOptions::default()
         };
         let er = run_er(&ckt, false, &options, &["s3"]).unwrap();
-        let benr = run_implicit(&ckt, ImplicitScheme::BackwardEuler, &options, &["s3"]).unwrap();
+        let benr = Simulator::new(&ckt)
+            .transient(Method::BackwardEuler, &options, &["s3"])
+            .unwrap();
         let p = 0;
         let err = er.max_error_vs(&benr, p);
         assert!(err < 0.1, "ER and BENR should agree on s3, max diff {err}");
@@ -704,7 +661,9 @@ mod tests {
             error_budget: 1.0,
             ..TransientOptions::default()
         };
-        let reference = run_implicit(&ckt, ImplicitScheme::BackwardEuler, &fine, &["s2"]).unwrap();
+        let reference = Simulator::new(&ckt)
+            .transient(Method::BackwardEuler, &fine, &["s2"])
+            .unwrap();
         let coarse = TransientOptions {
             t_stop: 2e-10,
             h_init: 2e-12,
@@ -781,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_wrapper_still_runs() {
+    fn reused_session_matches_a_fresh_one() {
         let ckt = rc_ramp_circuit(1e3, 1e-12, 1.0, 1e-14);
         let options = TransientOptions {
             t_stop: 2e-9,
@@ -790,11 +749,16 @@ mod tests {
             error_budget: 1e-3,
             ..TransientOptions::default()
         };
-        #[allow(deprecated)]
-        let wrapped = run_exponential_rosenbrock(&ckt, false, &options, &["out"]).unwrap();
-        let session = run_er(&ckt, false, &options, &["out"]).unwrap();
-        assert_eq!(wrapped.times, session.times);
-        assert_eq!(wrapped.samples, session.samples);
-        assert_eq!(wrapped.final_state, session.final_state);
+        let fresh = run_er(&ckt, false, &options, &["out"]).unwrap();
+        // The second run rides the first one's LU, Krylov and DC caches.
+        let mut sim = Simulator::new(&ckt);
+        for run in 0..2 {
+            let warm = sim
+                .transient(Method::ExponentialRosenbrock, &options, &["out"])
+                .unwrap();
+            assert_eq!(warm.times, fresh.times, "run {run}");
+            assert_eq!(warm.samples, fresh.samples, "run {run}");
+            assert_eq!(warm.final_state, fresh.final_state, "run {run}");
+        }
     }
 }

@@ -13,8 +13,8 @@
 //! is exactly the paper's argument.
 //!
 //! The engine is exposed as the incremental [`ImplicitStepper`] (one accepted
-//! step per [`Engine::advance`] call); [`run_implicit`] remains as a
-//! deprecated one-shot wrapper.
+//! step per [`Engine::advance`] call); one-shot runs go through
+//! [`crate::Simulator::transient`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,7 +26,6 @@ use crate::engines::{clamp_step, prepare, reached_end, refresh_lu, Engine, StepO
 use crate::error::{SimError, SimResult};
 use crate::observer::Observer;
 use crate::options::TransientOptions;
-use crate::output::TransientResult;
 use crate::session::SessionCaches;
 use crate::stats::RunStats;
 
@@ -380,37 +379,10 @@ impl ImplicitStepper<'_> {
     }
 }
 
-/// Runs an implicit (BE or TR) transient analysis with Newton–Raphson
-/// iterations and adaptive step control.
-///
-/// # Errors
-///
-/// * [`SimError::NewtonDidNotConverge`] if Newton fails even at `h_min`.
-/// * [`SimError::Sparse`] for factorization failures; a
-///   [`exi_sparse::SparseError::FillBudgetExceeded`] surfaces when the
-///   configured fill budget is exhausted (the Table I "out of memory" cases).
-/// * Option-validation and netlist errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "create a `Simulator` and call `transient(Method::BackwardEuler | Method::Trapezoidal, …)` \
-            — a session reuses LU caches and workspaces across runs"
-)]
-pub fn run_implicit(
-    circuit: &Circuit,
-    scheme: ImplicitScheme,
-    options: &TransientOptions,
-    probe_names: &[&str],
-) -> SimResult<TransientResult> {
-    let method = match scheme {
-        ImplicitScheme::BackwardEuler => crate::Method::BackwardEuler,
-        ImplicitScheme::Trapezoidal => crate::Method::Trapezoidal,
-    };
-    crate::Simulator::new(circuit).transient(method, options, probe_names)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::TransientResult;
     use crate::session::Simulator;
     use crate::transient::Method;
     use exi_netlist::{generators, Waveform};
@@ -554,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_wrapper_matches_session_run() {
+    fn reused_session_matches_a_fresh_one() {
         let mut ckt = Circuit::new();
         let vin = ckt.node("in");
         let out = ckt.node("out");
@@ -575,11 +547,16 @@ mod tests {
             error_budget: 1e-3,
             ..TransientOptions::default()
         };
-        #[allow(deprecated)]
-        let wrapped =
-            run_implicit(&ckt, ImplicitScheme::BackwardEuler, &options, &["out"]).unwrap();
-        let session = run_scheme(&ckt, ImplicitScheme::BackwardEuler, &options, &["out"]).unwrap();
-        assert_eq!(wrapped.times, session.times);
-        assert_eq!(wrapped.samples, session.samples);
+        let fresh = run_scheme(&ckt, ImplicitScheme::BackwardEuler, &options, &["out"]).unwrap();
+        // The second run rides the first one's LU and DC caches.
+        let mut sim = Simulator::new(&ckt);
+        for run in 0..2 {
+            let warm = sim
+                .transient(Method::BackwardEuler, &options, &["out"])
+                .unwrap();
+            assert_eq!(warm.times, fresh.times, "run {run}");
+            assert_eq!(warm.samples, fresh.samples, "run {run}");
+            assert_eq!(warm.final_state, fresh.final_state, "run {run}");
+        }
     }
 }

@@ -47,9 +47,8 @@
 //!   checkpointed long runs and interleaved co-simulation.
 //! * [`Simulator::sweep`] — several runs back to back on the shared caches.
 //!
-//! The free functions [`run_transient`] / [`dc_operating_point`] remain for
-//! one-shot use; `run_transient` is deprecated in favor of the session API
-//! (its waveforms are bit-identical to [`Simulator::transient`]).
+//! [`dc_operating_point`] remains as a free function for a one-shot DC
+//! solve; every transient run goes through a [`Simulator`].
 //!
 //! # Batch execution
 //!
@@ -171,10 +170,6 @@ pub use batch::{
 };
 pub use dc::{dc_operating_point, DcSolution};
 pub use deck::{analysis_options, tran_options};
-#[allow(deprecated)]
-pub use engines::er::run_exponential_rosenbrock;
-#[allow(deprecated)]
-pub use engines::implicit::run_implicit;
 pub use engines::implicit::ImplicitScheme;
 pub use engines::{resolve_probes, Engine, StepOutcome};
 pub use error::{SimError, SimResult};
@@ -187,6 +182,4 @@ pub use output::{Probe, TransientResult};
 pub use recovery::{RecoveryEvent, RecoveryPolicy};
 pub use session::{PlanCache, SessionStepper, Simulator};
 pub use stats::RunStats;
-#[allow(deprecated)]
-pub use transient::run_transient;
 pub use transient::Method;

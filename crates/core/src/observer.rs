@@ -5,7 +5,8 @@
 //! cover the common cases:
 //!
 //! * [`RecordingObserver`] — accumulates every accepted point and reproduces
-//!   the classic [`TransientResult`] (what [`crate::run_transient`] returns).
+//!   the classic [`TransientResult`] (what [`crate::Simulator::transient`]
+//!   returns).
 //! * [`StreamingObserver`] — keeps a fixed-memory, progressively decimated
 //!   view of the probed waveform; suitable for arbitrarily long runs.
 //! * [`CsvObserver`] — writes every accepted point as a CSV/TSV row to any

@@ -582,9 +582,7 @@ impl<'c> Simulator<'c> {
     }
 
     /// Runs one full transient analysis, recording every accepted point, and
-    /// returns the buffered [`TransientResult`] — the session equivalent of
-    /// the deprecated [`crate::run_transient`] free function (bit-identical
-    /// waveforms).
+    /// returns the buffered [`TransientResult`].
     ///
     /// # Errors
     ///

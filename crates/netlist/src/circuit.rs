@@ -386,28 +386,6 @@ impl Circuit {
         crate::plan::EvalPlan::compile(self)
     }
 
-    /// Evaluates all devices at state `x`, producing the matrices and vectors
-    /// of the linearized MNA system.
-    ///
-    /// This compiles a throwaway [`crate::plan::EvalPlan`] per call; hot
-    /// loops must compile once and restamp with
-    /// [`EvalPlan::evaluate_into`](crate::plan::EvalPlan::evaluate_into)
-    /// instead (bit-identical results).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::EmptyCircuit`] for a circuit with no unknowns
-    /// and an error if `x` has the wrong length.
-    #[deprecated(
-        since = "0.4.0",
-        note = "compile an `EvalPlan` once per topology (`Circuit::compile_plan`) and restamp \
-                with `EvalPlan::evaluate_into` — the plan path assembles without COO buffers, \
-                sorting or steady-state allocation"
-    )]
-    pub fn evaluate(&self, x: &[f64]) -> NetlistResult<Evaluation> {
-        self.compile_plan()?.evaluate(x)
-    }
-
     /// The legacy COO-assembly evaluation path, retained verbatim as the
     /// differential-testing and benchmarking reference for the plan path
     /// ([`Circuit::compile_plan`]). `tests/proptest_plan.rs` asserts the two
@@ -454,20 +432,6 @@ impl Circuit {
             f,
             q,
         })
-    }
-
-    /// The constant source-incidence matrix `B` (`num_unknowns × num_sources`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::EmptyCircuit`] for a circuit with no unknowns.
-    #[deprecated(
-        since = "0.4.0",
-        note = "compile an `EvalPlan` once per topology (`Circuit::compile_plan`) and borrow \
-                `EvalPlan::input_matrix` — `B` is a pure function of the topology"
-    )]
-    pub fn input_matrix(&self) -> NetlistResult<CsrMatrix> {
-        Ok(self.compile_plan()?.input_matrix().clone())
     }
 
     /// The legacy stamping-pass construction of `B`, retained as the
@@ -678,7 +642,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the deprecated wrappers' error parity
     fn validation_errors() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
@@ -693,32 +656,41 @@ mod tests {
             Err(NetlistError::DuplicateDevice { .. })
         ));
         assert!(matches!(
-            ckt.evaluate(&[1.0, 2.0]),
+            ckt.compile_plan().unwrap().evaluate(&[1.0, 2.0]),
             Err(NetlistError::Parse { .. })
         ));
         let empty = Circuit::new();
         assert!(matches!(
-            empty.evaluate(&[]),
+            empty.compile_plan(),
             Err(NetlistError::EmptyCircuit)
         ));
         assert!(matches!(
-            empty.input_matrix(),
+            empty.evaluate_reference(&[]),
+            Err(NetlistError::EmptyCircuit)
+        ));
+        assert!(matches!(
+            empty.input_matrix_reference(),
             Err(NetlistError::EmptyCircuit)
         ));
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_plan_path_bitwise() {
+    fn reused_plan_matches_a_fresh_plan_bitwise() {
         let ckt = rc_divider();
         let x = vec![0.9, 0.4, -5e-4];
-        let wrapped = ckt.evaluate(&x).unwrap();
+        // A plan restamped at another state first must land on the same
+        // bits as a freshly compiled one.
+        let reused = ckt.compile_plan().unwrap();
+        let mut ws = reused.new_workspace();
+        let mut warm = reused.evaluate(&[0.1, -0.3, 2e-4]).unwrap();
+        reused.evaluate_into(&x, &mut ws, &mut warm).unwrap();
         let planned = eval(&ckt, &x);
-        assert_eq!(wrapped.g, planned.g);
-        assert_eq!(wrapped.c, planned.c);
-        assert_eq!(wrapped.f, planned.f);
-        assert_eq!(wrapped.q, planned.q);
-        assert_eq!(ckt.input_matrix().unwrap(), input_matrix(&ckt));
+        assert_eq!(warm.g, planned.g);
+        assert_eq!(warm.c, planned.c);
+        assert_eq!(warm.f, planned.f);
+        assert_eq!(warm.q, planned.q);
+        assert_eq!(reused.input_matrix(), &input_matrix(&ckt));
+        assert_eq!(ckt.input_matrix_reference().unwrap(), input_matrix(&ckt));
         // And the plan path agrees with the retained COO reference.
         let reference = ckt.evaluate_reference(&x).unwrap();
         assert_eq!(reference.g, planned.g);

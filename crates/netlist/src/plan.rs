@@ -1,8 +1,10 @@
 //! Precompiled evaluation plans: allocation-free, pattern-locked device
 //! restamping for the simulator hot loop.
 //!
-//! [`Circuit::evaluate`](crate::Circuit::evaluate) rebuilds COO triplet
-//! vectors and runs a sort-and-dedup CSR compression on every call — per
+//! The legacy COO path
+//! ([`Circuit::evaluate_reference`](crate::Circuit::evaluate_reference))
+//! rebuilds triplet vectors and runs a sort-and-dedup CSR compression on
+//! every call — per
 //! Newton iteration and per accepted step, even though the circuit topology
 //! (and with it almost the entire stamp structure) never changes during a
 //! run. An [`EvalPlan`] performs that topology analysis **once**:

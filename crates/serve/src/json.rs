@@ -151,8 +151,8 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-/// Writes `s` as a JSON string literal (the same escaping rules as the
-/// CLI's `--error-format json`).
+/// Writes `s` as a JSON string literal (also the escaper behind the CLI's
+/// `--error-format json`).
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {

@@ -19,8 +19,11 @@
 //!
 //! The moving parts:
 //!
-//! * [`protocol`] — frames, [`Request`]/[`Response`], and the bit-identity
-//!   contract (waveform values travel as preformatted 17-digit strings).
+//! * [`protocol`] — frames ([`decode_frame`] holds every framing rule),
+//!   [`Request`]/[`Response`], and the bit-identity contract (waveform
+//!   values travel as preformatted 17-digit strings).
+//! * [`config`] — [`ServeConfig`] and [`SERVE_FLAGS`], the one flag table
+//!   `exi-serve` and `exi-cli serve` both parse.
 //! * [`queue`] — the bounded FIFO with `busy` backpressure and
 //!   close-and-drain shutdown.
 //! * [`server`] — [`Server`]: accept loop, per-connection handlers, worker
@@ -38,16 +41,11 @@
 //!
 //! # Hardening
 //!
-//! The daemon assumes hostile tenants. Admission control estimates every
-//! deck's footprint against a [`JobBudget`] (and a server-wide in-flight
-//! unknown budget) before queueing; jobs that declare no deadline inherit
-//! the server default. A supervisor respawns workers that panic (bounded
-//! per window, then degraded mode) after attributing the failure to the
-//! offending job. Stalled or idle connections are reaped without occupying
-//! a worker, and a client that stops reading trips the write-stall deadline.
-//! Under sustained queue pressure an [`OverloadConfig`]-driven ladder sheds
-//! load in documented stages. `docs/SERVICE.md` covers limits, the ladder
-//! and the failure modes; `docs/ROBUSTNESS.md` covers the fault taxonomy.
+//! The daemon assumes hostile tenants: admission budgets ([`JobBudget`]),
+//! worker supervision, connection reaping and the [`OverloadConfig`]
+//! ladder are described in the [`server`] module docs and, with the
+//! failure modes, in `docs/SERVICE.md`; `docs/ROBUSTNESS.md` covers the
+//! fault taxonomy.
 //!
 //! See `docs/SERVICE.md` for the protocol specification and operational
 //! notes.
@@ -93,6 +91,7 @@
 #![deny(missing_docs)]
 
 pub mod client;
+pub mod config;
 pub mod json;
 pub mod protocol;
 pub mod queue;
@@ -102,9 +101,11 @@ pub mod stats;
 pub mod wirefault;
 
 pub use client::{Client, ClientError, RunEnd};
+pub use config::{JobBudget, OverloadConfig, ServeConfig, ServeFlag, SERVE_FLAGS};
 pub use protocol::{
-    method_name, parse_method, read_frame, write_frame, FrameError, Request, Response, RunRequest,
+    decode_frame, method_name, parse_method, read_frame, write_frame, Decoded, FrameBuffer,
+    FrameError, Request, Response, RunRequest,
 };
 pub use queue::{JobQueue, PushError};
-pub use server::{JobBudget, OverloadConfig, ServeConfig, Server};
+pub use server::{serve, Server};
 pub use stats::ServerStats;

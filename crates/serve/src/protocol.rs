@@ -92,51 +92,140 @@ pub fn write_frame(w: &mut dyn Write, json: &str) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame's JSON payload. Returns `Ok(None)` on clean end-of-stream
-/// (EOF before any length byte).
+/// Longest accepted length line, newline included: 20 digits cover `u64`,
+/// anything longer is garbage that must not be buffered without limit.
+const LENGTH_LINE_MAX: usize = 32;
+
+/// What [`decode_frame`] found at the head of a byte buffer.
+#[derive(Debug, PartialEq)]
+pub enum Decoded<'a> {
+    /// A complete frame.
+    Frame {
+        /// The frame's JSON payload.
+        payload: &'a str,
+        /// Bytes the frame occupies: length line, payload and terminator.
+        len: usize,
+    },
+    /// No complete frame yet; the buffer must grow to at least `needed`
+    /// bytes before the frame can complete.
+    Partial {
+        /// The smallest buffer length worth decoding again.
+        needed: usize,
+    },
+}
+
+/// Decodes the frame at the head of `buf` — every framing rule lives here:
+/// the length-line bound, `\r` trimming, the size limit, the payload
+/// terminator and UTF-8 validation, with their error messages.
 ///
 /// # Errors
 ///
 /// [`FrameError::Oversized`] when the declared length exceeds `max_bytes`
-/// (nothing beyond the length line has been consumed);
-/// [`FrameError::Malformed`] for a non-decimal length line or a missing
-/// trailing newline; [`FrameError::Io`] for transport failures.
-pub fn read_frame(r: &mut dyn BufRead, max_bytes: usize) -> Result<Option<String>, FrameError> {
-    let mut len_line = String::new();
-    // Bound the length line itself: 20 digits covers u64, anything longer
-    // is garbage that must not be buffered without limit.
-    let read = (&mut *r)
-        .take(32)
-        .read_line(&mut len_line)
-        .map_err(FrameError::Io)?;
-    if read == 0 {
-        return Ok(None);
-    }
-    let trimmed = len_line.trim_end_matches(['\r', '\n']);
-    if !len_line.ends_with('\n') {
+/// (decided from the length line alone); [`FrameError::Malformed`] for an
+/// unterminated, non-UTF-8 or non-decimal length line, a missing payload
+/// terminator or a non-UTF-8 payload.
+pub fn decode_frame(buf: &[u8], max_bytes: usize) -> Result<Decoded<'_>, FrameError> {
+    let window = &buf[..buf.len().min(LENGTH_LINE_MAX)];
+    let Some(nl) = window.iter().position(|&b| b == b'\n') else {
+        if buf.len() < LENGTH_LINE_MAX {
+            return Ok(Decoded::Partial {
+                needed: buf.len() + 1,
+            });
+        }
+        let line = String::from_utf8_lossy(window);
         return Err(FrameError::Malformed(format!(
-            "length line '{trimmed}' not newline-terminated"
+            "length line '{}' not newline-terminated",
+            line.trim_end_matches('\r')
         )));
-    }
-    let declared: usize = trimmed
+    };
+    let line = std::str::from_utf8(&buf[..nl])
+        .map_err(|_| FrameError::Malformed("length line is not utf-8".to_string()))?
+        .trim_end_matches('\r');
+    let declared: usize = line
         .parse()
-        .map_err(|_| FrameError::Malformed(format!("bad length line '{trimmed}'")))?;
+        .map_err(|_| FrameError::Malformed(format!("bad length line '{line}'")))?;
     if declared > max_bytes {
         return Err(FrameError::Oversized {
             declared,
             limit: max_bytes,
         });
     }
-    let mut payload = vec![0u8; declared + 1];
-    r.read_exact(&mut payload).map_err(FrameError::Io)?;
-    if payload.pop() != Some(b'\n') {
+    let len = nl + 1 + declared + 1;
+    if buf.len() < len {
+        return Ok(Decoded::Partial { needed: len });
+    }
+    if buf[len - 1] != b'\n' {
         return Err(FrameError::Malformed(
             "frame payload not newline-terminated".to_string(),
         ));
     }
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| FrameError::Malformed("frame payload is not utf-8".to_string()))
+    let payload = std::str::from_utf8(&buf[nl + 1..len - 1])
+        .map_err(|_| FrameError::Malformed("frame payload is not utf-8".to_string()))?;
+    Ok(Decoded::Frame { payload, len })
+}
+
+/// Reads one frame's JSON payload. Returns `Ok(None)` on clean end-of-stream
+/// (EOF before any length byte). Never reads past the frame's terminator.
+///
+/// # Errors
+///
+/// As [`decode_frame`] (an oversized frame is refused before its payload
+/// is read); [`FrameError::Io`] for transport failures, including a stream
+/// that ends inside a frame (`UnexpectedEof`).
+pub fn read_frame(r: &mut dyn BufRead, max_bytes: usize) -> Result<Option<String>, FrameError> {
+    let mut buf = Vec::new();
+    if (&mut *r)
+        .take(LENGTH_LINE_MAX as u64)
+        .read_until(b'\n', &mut buf)?
+        == 0
+    {
+        return Ok(None);
+    }
+    loop {
+        match decode_frame(&buf, max_bytes)? {
+            Decoded::Frame { payload, .. } => return Ok(Some(payload.to_string())),
+            Decoded::Partial { needed } => {
+                let read = buf.len();
+                buf.resize(needed, 0);
+                r.read_exact(&mut buf[read..])?;
+            }
+        }
+    }
+}
+
+/// Frames arriving in arbitrary pieces: the server's connection reader
+/// appends whatever each socket read returned and takes complete frames off
+/// the front.
+#[derive(Debug, Default)]
+pub struct FrameBuffer {
+    bytes: Vec<u8>,
+}
+
+impl FrameBuffer {
+    /// Appends received bytes.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+    }
+
+    /// Whether no byte of a pending frame is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Removes and returns the next complete frame's payload; `Ok(None)`
+    /// until one has fully arrived.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_frame`].
+    pub fn next_frame(&mut self, max_bytes: usize) -> Result<Option<String>, FrameError> {
+        let (payload, len) = match decode_frame(&self.bytes, max_bytes)? {
+            Decoded::Frame { payload, len } => (payload.to_string(), len),
+            Decoded::Partial { .. } => return Ok(None),
+        };
+        self.bytes.drain(..len);
+        Ok(Some(payload))
+    }
 }
 
 /// The canonical wire name of an integration method.
@@ -158,6 +247,14 @@ pub fn parse_method(name: &str) -> Option<Method> {
         "tr" | "trnr" | "trap" => Some(Method::Trapezoidal),
         _ => None,
     }
+}
+
+/// The `id` field every job-scoped message carries.
+fn id(v: &Json) -> Result<String, String> {
+    Ok(v.get("id")
+        .and_then(Json::as_str)
+        .ok_or("missing 'id' field")?
+        .to_string())
 }
 
 /// A client → server message.
@@ -243,12 +340,6 @@ impl Request {
             .get("type")
             .and_then(Json::as_str)
             .ok_or("missing 'type' field")?;
-        let id = |v: &Json| -> Result<String, String> {
-            Ok(v.get("id")
-                .and_then(Json::as_str)
-                .ok_or("missing 'id' field")?
-                .to_string())
-        };
         match kind {
             "run" => {
                 let deck = v
@@ -529,11 +620,11 @@ impl Response {
             .get("type")
             .and_then(Json::as_str)
             .ok_or("missing 'type' field")?;
-        let id = |v: &Json| -> Result<String, String> {
-            Ok(v.get("id")
+        let field = |key: &str| -> Result<String, String> {
+            v.get(key)
                 .and_then(Json::as_str)
-                .ok_or("missing 'id' field")?
-                .to_string())
+                .map(str::to_string)
+                .ok_or_else(|| format!("{kind}: missing '{key}'"))
         };
         let count = |v: &Json, key: &str| -> Result<usize, String> {
             v.get(key)
@@ -552,16 +643,8 @@ impl Response {
             }),
             "rejected" => Ok(Response::Rejected {
                 id: id(&v)?,
-                reason: v
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .ok_or("rejected: missing 'reason'")?
-                    .to_string(),
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or("rejected: missing 'message'")?
-                    .to_string(),
+                reason: field("reason")?,
+                message: field("message")?,
             }),
             "chunk" => {
                 let columns = match v.get("columns") {
@@ -613,30 +696,14 @@ impl Response {
             }),
             "cancelled" => Ok(Response::Cancelled {
                 id: id(&v)?,
-                reason: v
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .ok_or("cancelled: missing 'reason'")?
-                    .to_string(),
-                at_time: v
-                    .get("at_time")
-                    .and_then(Json::as_str)
-                    .ok_or("cancelled: missing 'at_time'")?
-                    .to_string(),
+                reason: field("reason")?,
+                at_time: field("at_time")?,
                 rows: count(&v, "rows")?,
             }),
             "error" => Ok(Response::JobError {
                 id: id(&v)?,
-                class: v
-                    .get("class")
-                    .and_then(Json::as_str)
-                    .ok_or("error: missing 'class'")?
-                    .to_string(),
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or("error: missing 'message'")?
-                    .to_string(),
+                class: field("class")?,
+                message: field("message")?,
             }),
             "cancel_ack" => Ok(Response::CancelAck {
                 id: id(&v)?,
@@ -654,11 +721,7 @@ impl Response {
             "pong" => Ok(Response::Pong),
             "shutting_down" => Ok(Response::ShuttingDown),
             "protocol_error" => Ok(Response::ProtocolError {
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or("protocol_error: missing 'message'")?
-                    .to_string(),
+                message: field("message")?,
             }),
             other => Err(format!("unknown response type '{other}'")),
         }

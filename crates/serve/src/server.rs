@@ -20,7 +20,7 @@
 //! The hardening layer assumes every peer misbehaves:
 //!
 //! * **Admission control** — a deck's footprint (unknowns, estimated
-//!   nonzeros, declared `.tran` steps) is checked against [`JobBudget`]
+//!   nonzeros, declared `.tran` steps) is checked against [`crate::JobBudget`]
 //!   before queueing; a server-wide in-flight unknown budget bounds total
 //!   resident state; jobs that declare no deadline get the configured
 //!   default. Refusals are attributed `rejected{reason}` frames.
@@ -47,7 +47,7 @@
 //! until its final `done` frame.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Read as _;
+use std::io::{Read as _, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -61,163 +61,10 @@ use exi_sim::{
 };
 use exi_sparse::SymbolicCache;
 
-use crate::protocol::{write_frame, FrameError, Request, Response, RunRequest};
+use crate::config::{OverloadConfig, ServeConfig};
+use crate::protocol::{write_frame, FrameBuffer, FrameError, Request, Response, RunRequest};
 use crate::queue::{JobQueue, PushError};
 use crate::stats::ServerStats;
-
-/// Per-job footprint limits, estimated at admission from the parsed deck —
-/// before the job can queue, let alone touch a worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobBudget {
-    /// Largest admissible MNA system (nodes + branch currents).
-    pub max_unknowns: usize,
-    /// Largest admissible estimated `G`-pattern nonzero count.
-    pub max_est_nnz: usize,
-    /// Largest admissible declared step count, `ceil(stop / step)` from the
-    /// `.tran` card — the adaptive control may take fewer or more, but the
-    /// declaration bounds what the client *asked* for.
-    pub max_declared_steps: usize,
-}
-
-impl Default for JobBudget {
-    fn default() -> Self {
-        JobBudget {
-            max_unknowns: 200_000,
-            max_est_nnz: 8_000_000,
-            max_declared_steps: 10_000_000,
-        }
-    }
-}
-
-/// Overload-ladder thresholds. The ladder escalates while the queue sits at
-/// capacity and de-escalates once it drains to half:
-///
-/// | stage | entered after       | behavior                                 |
-/// |-------|---------------------|------------------------------------------|
-/// | 0     | —                   | normal admission                         |
-/// | 1     | `shed_after_ms`     | new decks rejected (`reason: overload`)  |
-/// | 2     | `cancel_after_ms`   | + cancel one running job per tick that is |
-/// |       |                     |   past `soft_deadline_ms` (deadline-less  |
-/// |       |                     |   jobs first, oldest first)               |
-/// | 3     | `drain_after_ms`    | + cancel every running job               |
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OverloadConfig {
-    /// Sustained-full time before stage 1 (shed new work).
-    pub shed_after_ms: u64,
-    /// Sustained-full time before stage 2 (cancel past-soft-deadline jobs).
-    pub cancel_after_ms: u64,
-    /// Sustained-full time before stage 3 (cancel all running jobs).
-    pub drain_after_ms: u64,
-    /// Minimum runtime before a job is a stage-2 cancellation victim.
-    pub soft_deadline_ms: u64,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            shed_after_ms: 30_000,
-            cancel_after_ms: 60_000,
-            drain_after_ms: 120_000,
-            soft_deadline_ms: 10_000,
-        }
-    }
-}
-
-/// Settings of one daemon instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeConfig {
-    /// Listen address (`host:port`; port 0 picks a free port).
-    pub addr: String,
-    /// Worker threads draining the job queue.
-    pub workers: usize,
-    /// Job-queue capacity; a full queue bounces `run` requests with `busy`.
-    pub queue_capacity: usize,
-    /// Maximum accepted frame payload in bytes (a larger declared length is
-    /// a protocol error and closes the connection).
-    pub max_frame_bytes: usize,
-    /// Maximum accepted deck text in bytes (a larger deck is rejected with a
-    /// `usage`-class error; the connection stays open).
-    pub max_deck_bytes: usize,
-    /// Warm symbolic-cache capacity (`None` = unbounded).
-    pub symbolic_cache_capacity: Option<usize>,
-    /// Warm plan-cache capacity (`None` = unbounded).
-    pub plan_cache_capacity: Option<usize>,
-    /// Rows per `chunk` frame when the request does not choose its own.
-    pub default_chunk_rows: usize,
-    /// Per-job footprint budget enforced at admission.
-    pub budget: JobBudget,
-    /// Server-wide cap on the summed unknown counts of active (queued or
-    /// running) jobs; 0 disables the check. Keep it at least
-    /// `budget.max_unknowns` or a lone maximal job can never run.
-    pub max_inflight_unknowns: usize,
-    /// Deadline applied to jobs that declare none, in milliseconds;
-    /// 0 leaves undeclared jobs uncapped.
-    pub default_deadline_ms: u64,
-    /// How long a started frame may stall mid-read before the connection is
-    /// reaped (the slow-loris bound); 0 disables.
-    pub read_timeout_ms: u64,
-    /// How long a connection may sit idle between frames before it is
-    /// reaped; 0 disables.
-    pub idle_timeout_ms: u64,
-    /// How long one frame write may block on a stalled client before the
-    /// write fails (and a streaming job is cancelled at the next step
-    /// boundary); 0 disables.
-    pub write_stall_ms: u64,
-    /// Worker respawns allowed per `respawn_window_ms` before the server
-    /// enters degraded mode.
-    pub respawn_limit: usize,
-    /// The sliding window over which `respawn_limit` is enforced.
-    pub respawn_window_ms: u64,
-    /// Overload-ladder thresholds.
-    pub overload: OverloadConfig,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_capacity: 16,
-            max_frame_bytes: crate::protocol::DEFAULT_MAX_FRAME_BYTES,
-            max_deck_bytes: 256 * 1024,
-            symbolic_cache_capacity: Some(64),
-            plan_cache_capacity: Some(64),
-            default_chunk_rows: 64,
-            budget: JobBudget::default(),
-            max_inflight_unknowns: 1_000_000,
-            default_deadline_ms: 600_000,
-            read_timeout_ms: 10_000,
-            idle_timeout_ms: 300_000,
-            write_stall_ms: 30_000,
-            respawn_limit: 8,
-            respawn_window_ms: 60_000,
-            overload: OverloadConfig::default(),
-        }
-    }
-}
-
-/// Lifetime job counters, maintained under one lock so a `stats` snapshot is
-/// internally consistent.
-#[derive(Debug, Default)]
-struct Counters {
-    jobs_accepted: u64,
-    jobs_completed: u64,
-    jobs_failed: u64,
-    jobs_cancelled: u64,
-    jobs_rejected: u64,
-    jobs_rejected_budget: u64,
-    jobs_shed_overload: u64,
-    jobs_cancelled_overload: u64,
-    workers_respawned: u64,
-    connections_reaped: u64,
-    write_stalls: u64,
-    overload_transitions: u64,
-    accepted_steps: usize,
-    symbolic_analyses: usize,
-    shared_symbolic_hits: usize,
-    plan_compilations: usize,
-    shared_plan_hits: usize,
-}
 
 /// One admitted `run` request, queued for a worker. The deck is parsed at
 /// admission (the footprint budget needs the circuit), so workers never see
@@ -254,7 +101,10 @@ struct Shared {
     queue: JobQueue<Job>,
     symbolic: Arc<SymbolicCache>,
     plans: Arc<PlanCache>,
-    counters: Mutex<Counters>,
+    /// Lifetime job and solver counters, kept under one lock so a `stats`
+    /// snapshot is internally consistent; [`Shared::snapshot`] fills in the
+    /// live queue, ladder and cache fields.
+    counters: Mutex<ServerStats>,
     /// Active (queued or running) jobs by id — the cancel registry.
     active: Mutex<HashMap<String, ActiveJob>>,
     /// Read-half handles of open connections, half-closed at shutdown to
@@ -282,31 +132,14 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl Shared {
     fn snapshot(&self) -> ServerStats {
-        let counters = lock(&self.counters);
         ServerStats {
-            jobs_accepted: counters.jobs_accepted,
-            jobs_completed: counters.jobs_completed,
-            jobs_failed: counters.jobs_failed,
-            jobs_cancelled: counters.jobs_cancelled,
-            jobs_rejected: counters.jobs_rejected,
-            jobs_rejected_budget: counters.jobs_rejected_budget,
-            jobs_shed_overload: counters.jobs_shed_overload,
-            jobs_cancelled_overload: counters.jobs_cancelled_overload,
-            workers_respawned: counters.workers_respawned,
-            connections_reaped: counters.connections_reaped,
-            write_stalls: counters.write_stalls,
-            overload_transitions: counters.overload_transitions,
             overload_stage: self.overload_stage.load(Ordering::SeqCst),
             queue_depth: self.queue.depth(),
             queue_capacity: self.queue.capacity(),
             workers: self.config.workers,
-            accepted_steps: counters.accepted_steps,
-            symbolic_analyses: counters.symbolic_analyses,
-            shared_symbolic_hits: counters.shared_symbolic_hits,
-            plan_compilations: counters.plan_compilations,
-            shared_plan_hits: counters.shared_plan_hits,
             symbolic_cache: self.symbolic.stats(),
             plan_cache: self.plans.stats(),
+            ..*lock(&self.counters)
         }
     }
 
@@ -382,7 +215,6 @@ impl ConnWriter {
                 if at == fault.writes {
                     let mut frame = format!("{}\n{json}\n", json.len());
                     frame.truncate(bytes.min(frame.len()));
-                    use std::io::Write as _;
                     let _ = stream.write_all(frame.as_bytes());
                     let _ = stream.flush();
                     let _ = stream.shutdown(Shutdown::Both);
@@ -436,12 +268,11 @@ enum ReadEvent {
 
 /// A frame reader with deadline enforcement: a *started* frame must complete
 /// within the read timeout (the slow-loris bound), and an *empty* connection
-/// must produce bytes within the idle timeout. Framing semantics match
-/// [`crate::protocol::read_frame`] — same length-line bound, same error
-/// messages.
+/// must produce bytes within the idle timeout. Framing is
+/// [`crate::protocol::decode_frame`]'s, through a [`FrameBuffer`].
 struct TimedFrameReader {
     stream: TcpStream,
-    buf: Vec<u8>,
+    frames: FrameBuffer,
     frame_timeout: Option<Duration>,
     idle_timeout: Option<Duration>,
     /// When the first byte of the pending frame arrived.
@@ -460,7 +291,7 @@ impl TimedFrameReader {
     fn new(stream: TcpStream, frame_timeout_ms: u64, idle_timeout_ms: u64) -> TimedFrameReader {
         TimedFrameReader {
             stream,
-            buf: Vec::new(),
+            frames: FrameBuffer::default(),
             frame_timeout: (frame_timeout_ms > 0).then(|| Duration::from_millis(frame_timeout_ms)),
             idle_timeout: (idle_timeout_ms > 0).then(|| Duration::from_millis(idle_timeout_ms)),
             frame_started: None,
@@ -487,8 +318,9 @@ impl TimedFrameReader {
             }
         }
         loop {
-            match self.try_parse(max_bytes) {
+            match self.frames.next_frame(max_bytes) {
                 Ok(Some(payload)) => {
+                    self.frame_started = (!self.frames.is_empty()).then(Instant::now);
                     #[cfg(feature = "wire-fault-injection")]
                     {
                         self.frames_done += 1;
@@ -513,7 +345,7 @@ impl TimedFrameReader {
                 nearest = Some(deadline);
             }
             if let Some(timeout) = self.idle_timeout {
-                if self.buf.is_empty() {
+                if self.frames.is_empty() {
                     let deadline = self.last_activity + timeout;
                     if now >= deadline {
                         return ReadEvent::Reaped;
@@ -528,10 +360,10 @@ impl TimedFrameReader {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return ReadEvent::Eof,
                 Ok(n) => {
-                    if self.buf.is_empty() {
+                    if self.frames.is_empty() {
                         self.frame_started = Some(Instant::now());
                     }
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.frames.extend(&chunk[..n]);
                     self.last_activity = Instant::now();
                 }
                 Err(e)
@@ -569,48 +401,6 @@ impl TimedFrameReader {
             }
         }
     }
-
-    /// Extracts one complete frame from the head of the buffer, mirroring
-    /// [`crate::protocol::read_frame`]'s framing rules and messages.
-    fn try_parse(&mut self, max_bytes: usize) -> Result<Option<String>, FrameError> {
-        let window = self.buf.len().min(32);
-        let Some(nl) = self.buf[..window].iter().position(|&b| b == b'\n') else {
-            if self.buf.len() >= 32 {
-                let prefix = String::from_utf8_lossy(&self.buf[..window]).into_owned();
-                return Err(FrameError::Malformed(format!(
-                    "length line '{prefix}' not newline-terminated"
-                )));
-            }
-            return Ok(None);
-        };
-        let line = std::str::from_utf8(&self.buf[..nl])
-            .map_err(|_| FrameError::Malformed("length line is not utf-8".to_string()))?;
-        let trimmed = line.trim_end_matches('\r');
-        let declared: usize = trimmed
-            .parse()
-            .map_err(|_| FrameError::Malformed(format!("bad length line '{trimmed}'")))?;
-        if declared > max_bytes {
-            return Err(FrameError::Oversized {
-                declared,
-                limit: max_bytes,
-            });
-        }
-        let total = nl + 1 + declared + 1;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        if self.buf[total - 1] != b'\n' {
-            return Err(FrameError::Malformed(
-                "frame payload not newline-terminated".to_string(),
-            ));
-        }
-        let payload = self.buf[nl + 1..total - 1].to_vec();
-        self.buf.drain(..total);
-        self.frame_started = (!self.buf.is_empty()).then(Instant::now);
-        String::from_utf8(payload)
-            .map(Some)
-            .map_err(|_| FrameError::Malformed("frame payload is not utf-8".to_string()))
-    }
 }
 
 /// The daemon. [`bind`](Server::bind) it, read
@@ -647,7 +437,7 @@ impl Server {
                 queue,
                 symbolic,
                 plans,
-                counters: Mutex::new(Counters::default()),
+                counters: Mutex::new(ServerStats::default()),
                 active: Mutex::new(HashMap::new()),
                 connections: Mutex::new(HashMap::new()),
                 next_connection: AtomicU64::new(0),
@@ -698,6 +488,35 @@ impl Server {
         });
         shared.snapshot()
     }
+}
+
+/// Binds a daemon on `config`, announces it on `status` with the
+/// `exi-serve listening on ADDR` line scripts wait for, serves until a
+/// `shutdown` request drains it, then writes the drain summary line — the
+/// whole life of both `exi-serve` and `exi-cli serve`.
+///
+/// # Errors
+///
+/// Socket bind failures and write failures on `status`.
+pub fn serve(config: ServeConfig, status: &mut dyn Write) -> std::io::Result<ServerStats> {
+    let server = Server::bind(config)?;
+    writeln!(status, "exi-serve listening on {}", server.local_addr()?)?;
+    status.flush()?;
+    let stats = server.run();
+    writeln!(
+        status,
+        "exi-serve: drained and stopped — {} completed, {} failed, {} cancelled, {} rejected; \
+         {} symbolic analyses + {} warm hits, {} plan compilations + {} warm hits",
+        stats.jobs_completed,
+        stats.jobs_failed,
+        stats.jobs_cancelled,
+        stats.jobs_rejected,
+        stats.symbolic_analyses,
+        stats.shared_symbolic_hits,
+        stats.plan_compilations,
+        stats.shared_plan_hits,
+    )?;
+    Ok(stats)
 }
 
 /// One worker: drain the queue until it closes — or retire early after a
@@ -977,15 +796,15 @@ fn admit_run(shared: &Shared, writer: &Arc<ConnWriter>, run: RunRequest) -> bool
         return send(
             shared,
             writer,
-            &Response::JobError {
-                id: run.id,
-                class: "usage".to_string(),
-                message: format!(
+            &job_error(
+                &run.id,
+                "usage",
+                format!(
                     "deck is {} bytes; this server accepts at most {}",
                     run.deck.len(),
                     shared.config.max_deck_bytes
                 ),
-            },
+            ),
         );
     }
     // Parse at admission: the footprint budget needs the circuit, and a
@@ -994,15 +813,7 @@ fn admit_run(shared: &Shared, writer: &Arc<ConnWriter>, run: RunRequest) -> bool
         Ok(deck) => deck,
         Err(e) => {
             lock(&shared.counters).jobs_failed += 1;
-            return send(
-                shared,
-                writer,
-                &Response::JobError {
-                    id: run.id,
-                    class: "parse".to_string(),
-                    message: e.to_string(),
-                },
-            );
+            return send(shared, writer, &job_error(&run.id, "parse", e.to_string()));
         }
     };
     let Some(analysis) = deck
@@ -1014,12 +825,7 @@ fn admit_run(shared: &Shared, writer: &Arc<ConnWriter>, run: RunRequest) -> bool
         return send(
             shared,
             writer,
-            &Response::JobError {
-                id: run.id,
-                class: "usage".to_string(),
-                message: "deck has no .tran card (exi-serve runs transient analyses only)"
-                    .to_string(),
-            },
+            &job_error(&run.id, "usage", NO_TRAN.to_string()),
         );
     };
     let footprint = estimate_footprint(&deck, analysis);
@@ -1118,11 +924,11 @@ fn admit_run(shared: &Shared, writer: &Arc<ConnWriter>, run: RunRequest) -> bool
             return send(
                 shared,
                 writer,
-                &Response::JobError {
-                    id: run.id,
-                    class: "usage".to_string(),
-                    message: "a job with this id is already active".to_string(),
-                },
+                &job_error(
+                    &run.id,
+                    "usage",
+                    "a job with this id is already active".to_string(),
+                ),
             );
         }
         active.insert(
@@ -1294,6 +1100,9 @@ impl Observer for WireObserver<'_> {
     }
 }
 
+/// The refusal of a deck without a `.tran` card.
+const NO_TRAN: &str = "deck has no .tran card (exi-serve runs transient analyses only)";
+
 /// Builds a failure reply in the `exi-cli` error taxonomy.
 fn job_error(id: &str, class: &str, message: String) -> Response {
     Response::JobError {
@@ -1383,14 +1192,7 @@ fn run_job(shared: &Shared, job: &Job) -> (Response, Option<RunStats>) {
         // Unreachable: admission requires a .tran card. Kept as a typed
         // error rather than a panic so a future admission change degrades
         // gracefully.
-        return (
-            job_error(
-                &job.id,
-                "usage",
-                "deck has no .tran card (exi-serve runs transient analyses only)".to_string(),
-            ),
-            None,
-        );
+        return (job_error(&job.id, "usage", NO_TRAN.to_string()), None);
     };
     let options = analysis_options(deck, analysis).expect("transient card maps to options");
     let probe_names = deck.effective_probes(&job.probes);
@@ -1577,7 +1379,6 @@ mod tests {
         let mut client = TcpStream::connect(addr).unwrap();
         let (server_side, _) = listener.accept().unwrap();
         let mut reader = TimedFrameReader::new(server_side, 1_000, 1_000);
-        use std::io::Write as _;
         // Two frames in one burst, the second split across writes.
         client.write_all(b"4\nping\n7\npa").unwrap();
         client.flush().unwrap();
@@ -1604,7 +1405,6 @@ mod tests {
         // 60 ms frame deadline, idle disabled: a partial length line with no
         // newline must be reaped, not buffered forever.
         let mut reader = TimedFrameReader::new(server_side, 60, 0);
-        use std::io::Write as _;
         client.write_all(b"12").unwrap();
         client.flush().unwrap();
         let started = Instant::now();

@@ -96,81 +96,64 @@ fn cache_from_json(v: &Json) -> Option<CacheStats> {
     })
 }
 
+/// A scalar counter of the snapshot: its wire name, how to read it, how to
+/// set it.
+pub type Counter = (
+    &'static str,
+    fn(&ServerStats) -> u64,
+    fn(&mut ServerStats, u64),
+);
+
+/// Every scalar counter of [`ServerStats`], in wire order — the one list
+/// behind the JSON form and `exi-cli client --stats`.
+#[rustfmt::skip]
+pub const COUNTERS: [Counter; 21] = [
+    ("jobs_accepted", |s| s.jobs_accepted, |s, v| s.jobs_accepted = v),
+    ("jobs_completed", |s| s.jobs_completed, |s, v| s.jobs_completed = v),
+    ("jobs_failed", |s| s.jobs_failed, |s, v| s.jobs_failed = v),
+    ("jobs_cancelled", |s| s.jobs_cancelled, |s, v| s.jobs_cancelled = v),
+    ("jobs_rejected", |s| s.jobs_rejected, |s, v| s.jobs_rejected = v),
+    ("jobs_rejected_budget", |s| s.jobs_rejected_budget, |s, v| s.jobs_rejected_budget = v),
+    ("jobs_shed_overload", |s| s.jobs_shed_overload, |s, v| s.jobs_shed_overload = v),
+    ("jobs_cancelled_overload", |s| s.jobs_cancelled_overload, |s, v| s.jobs_cancelled_overload = v),
+    ("workers_respawned", |s| s.workers_respawned, |s, v| s.workers_respawned = v),
+    ("connections_reaped", |s| s.connections_reaped, |s, v| s.connections_reaped = v),
+    ("write_stalls", |s| s.write_stalls, |s, v| s.write_stalls = v),
+    ("overload_transitions", |s| s.overload_transitions, |s, v| s.overload_transitions = v),
+    ("overload_stage", |s| s.overload_stage as u64, |s, v| s.overload_stage = v as usize),
+    ("queue_depth", |s| s.queue_depth as u64, |s, v| s.queue_depth = v as usize),
+    ("queue_capacity", |s| s.queue_capacity as u64, |s, v| s.queue_capacity = v as usize),
+    ("workers", |s| s.workers as u64, |s, v| s.workers = v as usize),
+    ("accepted_steps", |s| s.accepted_steps as u64, |s, v| s.accepted_steps = v as usize),
+    ("symbolic_analyses", |s| s.symbolic_analyses as u64, |s, v| s.symbolic_analyses = v as usize),
+    ("shared_symbolic_hits", |s| s.shared_symbolic_hits as u64, |s, v| s.shared_symbolic_hits = v as usize),
+    ("plan_compilations", |s| s.plan_compilations as u64, |s, v| s.plan_compilations = v as usize),
+    ("shared_plan_hits", |s| s.shared_plan_hits as u64, |s, v| s.shared_plan_hits = v as usize),
+];
+
 impl ServerStats {
     /// Serializes the snapshot as the payload of a `stats` response.
     pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("jobs_accepted", Json::Num(self.jobs_accepted as f64)),
-            ("jobs_completed", Json::Num(self.jobs_completed as f64)),
-            ("jobs_failed", Json::Num(self.jobs_failed as f64)),
-            ("jobs_cancelled", Json::Num(self.jobs_cancelled as f64)),
-            ("jobs_rejected", Json::Num(self.jobs_rejected as f64)),
-            (
-                "jobs_rejected_budget",
-                Json::Num(self.jobs_rejected_budget as f64),
-            ),
-            (
-                "jobs_shed_overload",
-                Json::Num(self.jobs_shed_overload as f64),
-            ),
-            (
-                "jobs_cancelled_overload",
-                Json::Num(self.jobs_cancelled_overload as f64),
-            ),
-            (
-                "workers_respawned",
-                Json::Num(self.workers_respawned as f64),
-            ),
-            (
-                "connections_reaped",
-                Json::Num(self.connections_reaped as f64),
-            ),
-            ("write_stalls", Json::Num(self.write_stalls as f64)),
-            (
-                "overload_transitions",
-                Json::Num(self.overload_transitions as f64),
-            ),
-            ("overload_stage", n(self.overload_stage)),
-            ("queue_depth", n(self.queue_depth)),
-            ("queue_capacity", n(self.queue_capacity)),
-            ("workers", n(self.workers)),
-            ("accepted_steps", n(self.accepted_steps)),
-            ("symbolic_analyses", n(self.symbolic_analyses)),
-            ("shared_symbolic_hits", n(self.shared_symbolic_hits)),
-            ("plan_compilations", n(self.plan_compilations)),
-            ("shared_plan_hits", n(self.shared_plan_hits)),
-            ("symbolic_cache", cache_json(&self.symbolic_cache)),
-            ("plan_cache", cache_json(&self.plan_cache)),
-        ])
+        let mut pairs: Vec<(&str, Json)> = COUNTERS
+            .iter()
+            .map(|(name, get, _)| (*name, Json::Num(get(self) as f64)))
+            .collect();
+        pairs.push(("symbolic_cache", cache_json(&self.symbolic_cache)));
+        pairs.push(("plan_cache", cache_json(&self.plan_cache)));
+        obj(pairs)
     }
 
     /// Reads a snapshot back from its JSON form (the client side).
     pub fn from_json(v: &Json) -> Option<ServerStats> {
-        Some(ServerStats {
-            jobs_accepted: v.get("jobs_accepted")?.as_u64()?,
-            jobs_completed: v.get("jobs_completed")?.as_u64()?,
-            jobs_failed: v.get("jobs_failed")?.as_u64()?,
-            jobs_cancelled: v.get("jobs_cancelled")?.as_u64()?,
-            jobs_rejected: v.get("jobs_rejected")?.as_u64()?,
-            jobs_rejected_budget: v.get("jobs_rejected_budget")?.as_u64()?,
-            jobs_shed_overload: v.get("jobs_shed_overload")?.as_u64()?,
-            jobs_cancelled_overload: v.get("jobs_cancelled_overload")?.as_u64()?,
-            workers_respawned: v.get("workers_respawned")?.as_u64()?,
-            connections_reaped: v.get("connections_reaped")?.as_u64()?,
-            write_stalls: v.get("write_stalls")?.as_u64()?,
-            overload_transitions: v.get("overload_transitions")?.as_u64()?,
-            overload_stage: v.get("overload_stage")?.as_u64()? as usize,
-            queue_depth: v.get("queue_depth")?.as_u64()? as usize,
-            queue_capacity: v.get("queue_capacity")?.as_u64()? as usize,
-            workers: v.get("workers")?.as_u64()? as usize,
-            accepted_steps: v.get("accepted_steps")?.as_u64()? as usize,
-            symbolic_analyses: v.get("symbolic_analyses")?.as_u64()? as usize,
-            shared_symbolic_hits: v.get("shared_symbolic_hits")?.as_u64()? as usize,
-            plan_compilations: v.get("plan_compilations")?.as_u64()? as usize,
-            shared_plan_hits: v.get("shared_plan_hits")?.as_u64()? as usize,
+        let mut stats = ServerStats {
             symbolic_cache: cache_from_json(v.get("symbolic_cache")?)?,
             plan_cache: cache_from_json(v.get("plan_cache")?)?,
-        })
+            ..ServerStats::default()
+        };
+        for (name, _, set) in &COUNTERS {
+            set(&mut stats, v.get(name)?.as_u64()?);
+        }
+        Some(stats)
     }
 }
 

@@ -284,6 +284,12 @@ fn sustained_queue_pressure_sheds_new_decks() {
         Response::Accepted { .. } => {}
         other => panic!("expected accepted, got {other:?}"),
     }
+    // Its first chunk proves the worker took it off the queue, so the next
+    // job finds a free slot instead of racing the worker for it.
+    match running.recv().expect("recv") {
+        Response::Chunk { .. } => {}
+        other => panic!("expected the first chunk, got {other:?}"),
+    }
     let mut queued = Client::connect(addr).expect("connect queued");
     queued
         .send(&Request::Run(request(SLOW_DECK, "queued")))

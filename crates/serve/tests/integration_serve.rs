@@ -531,10 +531,9 @@ fn shutdown_drains_in_flight_jobs() {
         )))
         .expect("send");
 
-    let mut stopper = Client::connect(addr).expect("connect");
-    stopper.shutdown().expect("shutdown");
-
-    // Both jobs still complete; frames keep flowing after shutdown.
+    // Shut down from a second connection once both runs are admitted; both
+    // jobs still complete, frames keep flowing after shutdown.
+    let mut accepted = 0;
     let mut completed = std::collections::HashSet::new();
     while completed.len() < 2 {
         match submitter.recv().expect("recv") {
@@ -542,7 +541,14 @@ fn shutdown_drains_in_flight_jobs() {
                 assert!(rows > 5);
                 completed.insert(id);
             }
-            Response::Accepted { .. } | Response::Chunk { .. } => {}
+            Response::Accepted { .. } => {
+                accepted += 1;
+                if accepted == 2 {
+                    let mut stopper = Client::connect(addr).expect("connect");
+                    stopper.shutdown().expect("shutdown");
+                }
+            }
+            Response::Chunk { .. } => {}
             other => panic!("unexpected frame {other:?}"),
         }
     }
@@ -608,4 +614,48 @@ fn decimation_streams_every_kth_row() {
     }
     client.shutdown().expect("shutdown");
     daemon.join().expect("join");
+}
+
+/// The `exi-serve` binary prints the shared flag table, refuses out-of-range
+/// values as usage errors (exit 2) instead of clamping them, and announces
+/// its address and drain summary through [`exi_serve::serve`].
+#[test]
+fn exi_serve_binary_runs_on_the_shared_flag_table() {
+    use std::io::{BufRead, Read};
+    use std::process::{Command, Stdio};
+
+    let exe = env!("CARGO_BIN_EXE_exi-serve");
+    let help = Command::new(exe)
+        .arg("--help")
+        .output()
+        .expect("run --help");
+    assert!(help.status.success());
+    let text = String::from_utf8(help.stdout).unwrap();
+    assert!(text.contains(&ServeConfig::flag_help()), "{text}");
+    let refused = Command::new(exe).args(["--workers", "0"]).output();
+    assert_eq!(refused.expect("run").status.code(), Some(2), "usage error");
+
+    let mut daemon = Command::new(exe)
+        .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn exi-serve");
+    let mut stdout = BufReader::new(daemon.stdout.take().expect("piped stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("exi-serve listening on ")
+        .unwrap_or_else(|| panic!("banner: {banner}"));
+    Client::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    let mut summary = String::new();
+    stdout.read_to_string(&mut summary).expect("summary");
+    assert!(
+        summary.starts_with("exi-serve: drained and stopped — 0 completed"),
+        "{summary}"
+    );
+    assert!(daemon.wait().expect("wait").success());
 }

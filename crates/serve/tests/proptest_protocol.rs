@@ -1,13 +1,17 @@
 //! Property-based tests for the wire protocol: randomly generated
 //! [`Request`]/[`Response`] values must survive encode → decode bit-exactly,
-//! and the frame reader and JSON decoders must never panic on hostile
+//! the frame reader and JSON decoders must never panic on hostile
 //! bytes — including truncated prefixes of *valid* frames, the exact shape a
-//! peer that dies mid-write leaves on the wire.
+//! peer that dies mid-write leaves on the wire — and the client's
+//! [`read_frame`] and the server's [`FrameBuffer`] must agree on every
+//! stream, however it is split.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 
 use exi_serve::protocol::DEFAULT_MAX_FRAME_BYTES;
-use exi_serve::{read_frame, write_frame, Request, Response, RunRequest, ServerStats};
+use exi_serve::{
+    read_frame, write_frame, FrameBuffer, FrameError, Request, Response, RunRequest, ServerStats,
+};
 use proptest::prelude::*;
 
 /// Charset covering JSON's sharp edges: quotes, backslashes, braces,
@@ -115,8 +119,131 @@ fn response() -> impl Strategy<Value = Response> {
         })
 }
 
+/// What a frame reader made of a byte stream.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Frame(String),
+    End,
+    /// The framing error, as displayed (its kind, message and numbers).
+    Error(String),
+}
+
+/// Drains a frame reader: one entry per frame, then how the stream stopped.
+fn drain(mut next: impl FnMut() -> Result<Option<String>, FrameError>) -> Vec<Outcome> {
+    let mut outcomes = Vec::new();
+    loop {
+        match next() {
+            Ok(Some(frame)) => outcomes.push(Outcome::Frame(frame)),
+            // The stream ran out, cleanly or inside a frame.
+            Ok(None) => break,
+            Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
+            Err(e) => {
+                outcomes.push(Outcome::Error(e.to_string()));
+                return outcomes;
+            }
+        }
+    }
+    outcomes.push(Outcome::End);
+    outcomes
+}
+
+/// Runs `bytes` through the client's [`read_frame`] and the server's
+/// [`FrameBuffer`], delivered as two reads split at every byte boundary,
+/// and requires the same outcomes everywhere; returns them.
+fn readers_agree(bytes: &[u8], max_bytes: usize) -> Vec<Outcome> {
+    let client = |cut: usize| {
+        let mut reader = BufReader::new(bytes[..cut].chain(&bytes[cut..]));
+        drain(|| read_frame(&mut reader, max_bytes))
+    };
+    let server = |cut: usize| {
+        let mut frames = FrameBuffer::default();
+        let mut reads = [&bytes[..cut], &bytes[cut..]].into_iter();
+        drain(|| loop {
+            if let Some(frame) = frames.next_frame(max_bytes)? {
+                return Ok(Some(frame));
+            }
+            match reads.next() {
+                Some(read) => frames.extend(read),
+                None => return Ok(None),
+            }
+        })
+    };
+    let expected = client(0);
+    for cut in 0..=bytes.len() {
+        assert_eq!(
+            client(cut),
+            expected,
+            "read_frame split at {cut} of {bytes:?}"
+        );
+        assert_eq!(
+            server(cut),
+            expected,
+            "FrameBuffer split at {cut} of {bytes:?}"
+        );
+    }
+    expected
+}
+
+/// One piece of a generated stream: a frame as `write_frame` sends it, the
+/// same with a CRLF length line, or raw bytes.
+fn stream_piece() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0usize..3,
+        wire_string(),
+        proptest::collection::vec(0usize..256, 0..12),
+    )
+        .prop_map(|(pick, payload, raw)| match pick {
+            0 => {
+                let mut wire = Vec::new();
+                write_frame(&mut wire, &payload).unwrap();
+                wire
+            }
+            1 => format!("{}\r\n{payload}\n", payload.len()).into_bytes(),
+            _ => raw.into_iter().map(|b| b as u8).collect(),
+        })
+}
+
+#[test]
+fn hand_picked_streams_read_the_same_through_both_readers() {
+    use Outcome::{End, Error};
+    let frame = |f: &str| Outcome::Frame(f.to_string());
+    let malformed = |m: &str| Error(format!("malformed frame: {m}"));
+    let unterminated = malformed(&format!(
+        "length line '{}' not newline-terminated",
+        "1".repeat(32)
+    ));
+    let oversized = Error("oversized frame: 99999 bytes (limit 1024)".into());
+    let unfinished = malformed("frame payload not newline-terminated");
+    let back_to_back = vec![frame("{}"), frame("ping"), frame(""), End];
+    let cases: Vec<(&[u8], Vec<Outcome>)> = vec![
+        (b"2\r\n{}\n", vec![frame("{}"), End]),
+        (b"\xff\n{}\n", vec![malformed("length line is not utf-8")]),
+        (&[b'1'; 32], vec![unterminated]),
+        (b"99999\n{}\n", vec![oversized]),
+        (b"2\n{}\n4\nping\n0\n\n", back_to_back),
+        (b"2\n{}x", vec![unfinished]),
+        (b"2\n{}", vec![End]),
+        (b"12", vec![End]),
+    ];
+    for (bytes, expected) in cases {
+        assert_eq!(readers_agree(bytes, 1024), expected, "{bytes:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random streams — valid frames, CRLF frames and raw bytes back to back
+    /// — produce the same frames and the same error from both readers,
+    /// wherever the stream is split.
+    #[test]
+    fn both_frame_readers_agree_at_every_split(
+        pieces in proptest::collection::vec(stream_piece(), 0..4),
+        limit_pick in 0usize..3,
+    ) {
+        let bytes = pieces.concat();
+        readers_agree(&bytes, [8, 64, 1024][limit_pick]);
+    }
 
     #[test]
     fn requests_round_trip_bit_exactly(run in run_request(), id in wire_string()) {

@@ -1,5 +1,5 @@
 //! Integration tests for the `Simulator` session API: pause/resume
-//! bit-identity, wrapper compatibility, cross-run cache reuse, streaming
+//! bit-identity, fresh-vs-reused session parity, cross-run cache reuse, streaming
 //! observers and interleaved co-simulation.
 
 use exi_netlist::generators::{inverter_chain, power_grid, InverterChainSpec, PowerGridSpec};
@@ -29,23 +29,23 @@ fn grid_options() -> TransientOptions {
     }
 }
 
-/// Acceptance bar: the deprecated `run_transient` wrapper produces
-/// bit-identical waveforms to the session API for all four methods on the
-/// power-grid case.
+/// Acceptance bar: a session reused across all four methods produces
+/// bit-identical waveforms to a fresh session per method on the power-grid
+/// case — warm caches never change a bit.
 #[test]
-fn wrapper_is_bit_identical_to_session_on_power_grid() {
+fn reused_session_is_bit_identical_to_fresh_sessions_on_power_grid() {
     let ckt = grid_circuit();
     let options = grid_options();
+    let mut reused = Simulator::new(&ckt);
     for method in Method::all() {
-        #[allow(deprecated)]
-        let wrapped = exi_sim::run_transient(&ckt, method, &options, &["g_4_4"]).unwrap();
-        let session = Simulator::new(&ckt)
+        let warm = reused.transient(method, &options, &["g_4_4"]).unwrap();
+        let fresh = Simulator::new(&ckt)
             .transient(method, &options, &["g_4_4"])
             .unwrap();
-        assert_eq!(wrapped.times, session.times, "{method}: times differ");
-        assert_eq!(wrapped.samples, session.samples, "{method}: samples differ");
+        assert_eq!(warm.times, fresh.times, "{method}: times differ");
+        assert_eq!(warm.samples, fresh.samples, "{method}: samples differ");
         assert_eq!(
-            wrapped.final_state, session.final_state,
+            warm.final_state, fresh.final_state,
             "{method}: final state differs"
         );
     }
